@@ -42,6 +42,10 @@ const (
 	// FlagSlow marks a chain that must execute through the interpreter's
 	// action machinery (ChainIdx / ChainAddr, as in the decoded tier).
 	FlagSlow
+	// FlagControl marks a fused chain that moves the stream cursor
+	// (OpRead, OpPutBack, OpPutBackR), resizes symbols (OpSetSS) or halts:
+	// the machine's fast horizon leaves such a dispatch to its exact path.
+	FlagControl
 )
 
 // Single-op chain specializations: the machine's compiled loop executes
@@ -118,6 +122,11 @@ type Program struct {
 	// FusedChains and SlowChains count the chain classification (stats
 	// for tooling; SlowChains > 0 does not affect eligibility).
 	FusedChains, SlowChains int
+	// MaxCost bounds the cycles one non-default dispatch hop can charge
+	// without leaving the compiled loop: the probe, a fallback probe and
+	// the largest fused chain. The machine divides its remaining cycle
+	// budget by it to size a run of dispatches no budget check can stop.
+	MaxCost uint64
 }
 
 // result memoizes one compilation outcome (program or ineligibility) on
@@ -166,6 +175,7 @@ func build(im *effclip.Image) (*Program, error) {
 	p := &Program{
 		Slots:   make([]Slot, len(d.Slots)),
 		CodeEnd: d.CodeEnd,
+		MaxCost: 2,
 	}
 	// Size the micro-op pool up front: slot Ops views alias its backing
 	// array, so it must never reallocate while chains are appended.
@@ -223,14 +233,30 @@ func build(im *effclip.Image) (*Program, error) {
 		}
 		if r.ok {
 			cs.Flags |= FlagFused
+			if hasControl(r.ops) {
+				cs.Flags |= FlagControl
+			}
 			cs.Ops = r.ops
 			cs.Cost = uint16(len(r.ops))
+			p.MaxCost = max(p.MaxCost, 2+uint64(cs.Cost))
 			specialize(cs)
 		} else {
 			cs.Flags |= FlagSlow
 		}
 	}
 	return p, nil
+}
+
+// hasControl reports whether a fused chain moves the stream cursor,
+// resizes symbols or halts.
+func hasControl(ops []Op) bool {
+	for _, op := range ops {
+		switch op.Code {
+		case core.OpRead, core.OpPutBack, core.OpPutBackR, core.OpSetSS, core.OpHalt:
+			return true
+		}
+	}
+	return false
 }
 
 // specialize recognizes single-op chains the machine's compiled loop can

@@ -8,23 +8,28 @@
 //   - next-state base and signature come precomputed from the compiled
 //     slot, eliminating the interpreter's per-transition Sig() modulo;
 //   - fused chains charge their cycle and action counts in one static bulk
-//     add and execute as flat micro-ops on locally-held registers, with
-//     the dominant single-op chains (field-byte echo, separator emission)
-//     specialized past the micro-op loop entirely;
+//     add and execute as flat micro-ops (execOps, the one micro-op
+//     executor), with the dominant single-op chains (field-byte echo,
+//     separator emission) specialized past the micro-op loop entirely;
 //   - the hot counters (cycles, dispatches, actions, stream bits, output
 //     bytes, probe and hop counts), the stream cursor, the livelock
 //     watermark and the machine position (base, signature, mode) live in
 //     locals, synced to the lane only at observation boundaries: traps,
-//     slow chains, interpreter hand-offs and run exit.
+//     slow chains, interpreter hand-offs and run exit;
+//   - a fast horizon (runHorizon) commits runs of common dispatches with
+//     no per-dispatch guards: it sizes each run so that no budget,
+//     livelock, stop-poll, input-end or hop-limit check inside it could
+//     fire, and settles the counters that move in lockstep with the
+//     dispatch count once at its end.
 //
 // Everything observable is bit-identical with the reference interpreter:
-// the same per-dispatch budget, livelock and interrupt checks, the same
-// trace-ring writes, the same stats at every trap, and the same
+// the same budget, livelock and interrupt outcomes at the same dispatch,
+// the same trace-ring writes, the same stats at every trap, and the same
 // degradation ladder — a probe outside the compiled image finishes its
 // dispatch on the memory path, and a store into the code window hands the
 // rest of the run to the interpreter loop, exactly as the decoded tier
 // falls back today. The differential harness (diff_test.go) enforces this
-// over every kernel, trap and self-modification case.
+// over every kernel, trap, cycle budget and self-modification case.
 package machine
 
 import (
@@ -112,8 +117,45 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 	halted := l.halted
 	decOK := l.decOK
 	memRefs := l.stats.MemRefs
+	maxCost := cp.MaxCost
+	dataBits := int64(len(data)) * 8
 
 	for !halted {
+		// Fast horizon: commit the run of dispatches no guard below can
+		// stop — n of them, bounded by the symbols left, the cycle budget
+		// at MaxCost per dispatch and the next stop poll. The first
+		// dispatch it cannot commit falls through, untouched, to the exact
+		// path. See docs/PERF.md, "Fast horizon".
+		if (ss == 8 || ss == 4) && pos&int64(ss-1) == 0 && pos < dataBits && decOK &&
+			mode <= core.ModeCommon && uint64(pos)+outBytes+memRefs > progressMark && cycles < maxCycles {
+			n := uint64(dataBits-pos) / uint64(ss)
+			if l.stop != nil {
+				n = min(n, interruptStride-1-stopCheck%interruptStride)
+			}
+			if left := maxCycles - cycles; n*maxCost > left {
+				n = left / maxCost
+			}
+			h := horizon{cycles: cycles, fallbackProbes: fallbackProbes, pos: pos, out: out, base: base, baseSig: baseSig, mode: mode}
+			if k, lastOut := l.runHorizon(&h, n, &lring, ringN); k > 0 {
+				// Settle the counters that move in lockstep with the
+				// dispatch count. Every cycle past the probes is an
+				// action; every output byte counts, and the last
+				// dispatch's livelock check saw the position before it.
+				actions += h.cycles - cycles - k - (h.fallbackProbes - fallbackProbes)
+				outBytes += uint64(len(h.out) - len(out))
+				cycles, fallbackProbes, pos, out = h.cycles, h.fallbackProbes, h.pos, h.out
+				base, baseSig, mode = h.base, h.baseSig, h.mode
+				dispatches += k
+				ringN += k
+				streamBits += k * uint64(ss)
+				if l.stop != nil {
+					stopCheck += k
+				}
+				progressMark = uint64(pos-int64(ss)) + outBytes - uint64(len(out)-lastOut) + memRefs
+				stall = 0
+			}
+		}
+
 		if cycles >= maxCycles {
 			l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
 			return l.trapf(fault.TrapCycleBudget, "exceeded %d-cycle budget", maxCycles)
@@ -247,134 +289,17 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 					out = append(out, byte(cs.Imm))
 					outBytes++
 				default:
-					for _, op := range cs.Ops {
-						switch op.Code {
-						case core.OpNop:
-						case core.OpAdd:
-							regs[op.Dst&0xF] = regs[op.Ref&0xF] + regs[op.Src&0xF]
-						case core.OpAddi:
-							regs[op.Dst&0xF] = regs[op.Src&0xF] + op.Imm
-						case core.OpSub:
-							regs[op.Dst&0xF] = regs[op.Ref&0xF] - regs[op.Src&0xF]
-						case core.OpSubi:
-							regs[op.Dst&0xF] = regs[op.Src&0xF] - op.Imm
-						case core.OpMul:
-							regs[op.Dst&0xF] = regs[op.Ref&0xF] * regs[op.Src&0xF]
-						case core.OpMuli:
-							regs[op.Dst&0xF] = regs[op.Src&0xF] * op.Imm
-						case core.OpAnd:
-							regs[op.Dst&0xF] = regs[op.Ref&0xF] & regs[op.Src&0xF]
-						case core.OpAndi:
-							regs[op.Dst&0xF] = regs[op.Src&0xF] & op.Imm
-						case core.OpOr:
-							regs[op.Dst&0xF] = regs[op.Ref&0xF] | regs[op.Src&0xF]
-						case core.OpOri:
-							regs[op.Dst&0xF] = regs[op.Src&0xF] | op.Imm
-						case core.OpXor:
-							regs[op.Dst&0xF] = regs[op.Ref&0xF] ^ regs[op.Src&0xF]
-						case core.OpXori:
-							regs[op.Dst&0xF] = regs[op.Src&0xF] ^ op.Imm
-						case core.OpNot:
-							regs[op.Dst&0xF] = ^regs[op.Src&0xF]
-						case core.OpShl:
-							regs[op.Dst&0xF] = regs[op.Ref&0xF] << (regs[op.Src&0xF] & 31)
-						case core.OpShli:
-							regs[op.Dst&0xF] = regs[op.Src&0xF] << (op.Imm & 31)
-						case core.OpShr:
-							regs[op.Dst&0xF] = regs[op.Ref&0xF] >> (regs[op.Src&0xF] & 31)
-						case core.OpShri:
-							regs[op.Dst&0xF] = regs[op.Src&0xF] >> (op.Imm & 31)
-						case core.OpMov:
-							regs[op.Dst&0xF] = regs[op.Src&0xF]
-						case core.OpMovi:
-							regs[op.Dst&0xF] = op.Imm
-						case core.OpLui:
-							regs[op.Dst&0xF] = regs[op.Src&0xF]&0xFFFF | op.Imm<<16
-						case core.OpSeq:
-							regs[op.Dst&0xF] = b2u(regs[op.Ref&0xF] == regs[op.Src&0xF])
-						case core.OpSeqi:
-							regs[op.Dst&0xF] = b2u(regs[op.Src&0xF] == op.Imm)
-						case core.OpSne:
-							regs[op.Dst&0xF] = b2u(regs[op.Ref&0xF] != regs[op.Src&0xF])
-						case core.OpSnei:
-							regs[op.Dst&0xF] = b2u(regs[op.Src&0xF] != op.Imm)
-						case core.OpSlt:
-							regs[op.Dst&0xF] = b2u(regs[op.Ref&0xF] < regs[op.Src&0xF])
-						case core.OpSlti:
-							regs[op.Dst&0xF] = b2u(regs[op.Src&0xF] < op.Imm)
-						case core.OpSge:
-							regs[op.Dst&0xF] = b2u(regs[op.Ref&0xF] >= regs[op.Src&0xF])
-						case core.OpMin:
-							regs[op.Dst&0xF] = min(regs[op.Ref&0xF], regs[op.Src&0xF])
-						case core.OpMax:
-							regs[op.Dst&0xF] = max(regs[op.Ref&0xF], regs[op.Src&0xF])
-						case core.OpOut8:
-							out = append(out, byte(regs[op.Src&0xF]))
-							outBytes++
-						case core.OpOut16:
-							v := regs[op.Src&0xF]
-							out = append(out, byte(v), byte(v>>8))
-							outBytes += 2
-						case core.OpOut32:
-							v := regs[op.Src&0xF]
-							out = append(out, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-							outBytes += 4
-						case core.OpOutI:
-							out = append(out, byte(op.Imm))
-							outBytes++
-						case core.OpEmitBits:
-							l.out, l.stats.OutBytes = out, outBytes
-							l.emitBits(regs[op.Src&0xF], uint(op.Imm&31))
-							out, outBytes = l.out, l.stats.OutBytes
-						case core.OpEmitBitsR:
-							l.out, l.stats.OutBytes = out, outBytes
-							l.emitBits(regs[op.Src&0xF], uint(regs[op.Ref&0xF]&31))
-							out, outBytes = l.out, l.stats.OutBytes
-						case core.OpFlushBits:
-							if l.bitN > 0 {
-								l.out, l.stats.OutBytes = out, outBytes
-								l.emitBits(0, 8-l.bitN%8)
-								out, outBytes = l.out, l.stats.OutBytes
-							}
-						case core.OpSetSS:
-							ss = uint8(op.Imm)
-							l.ss = ss
-							l.stats.SetSSOps++
-						case core.OpPutBack:
-							pos -= int64(uint8(op.Imm))
-							if pos < 0 {
-								pos = 0
-							}
-							streamBits -= uint64(op.Imm)
-						case core.OpPutBackR:
-							v := regs[op.Src&0xF]
-							pos -= int64(uint8(v))
-							if pos < 0 {
-								pos = 0
-							}
-							streamBits -= uint64(v)
-						case core.OpRead:
-							stream.pos = pos
-							regs[op.Dst&0xF] = stream.Take(uint8(op.Imm))
-							pos = stream.pos
-							streamBits += uint64(op.Imm)
-						case core.OpSetBase:
-							l.memBase = regs[op.Src&0xF] + op.Imm
-						case core.OpHash:
-							shift := 32 - op.Imm&31
-							regs[op.Dst&0xF] = regs[op.Src&0xF] * 0x1e35a7bd >> shift
-						case core.OpAccept:
-							l.matches = append(l.matches, Match{PatternID: int32(op.Imm), BitPos: pos})
-						case core.OpHalt:
-							halted = true
-							l.halted = true
-							l.exit = int32(op.Imm)
-						default:
-							// Unreachable: lowerAction admits only the cases
-							// above. Mirror the interpreter's diagnostics.
-							l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
-							return l.trapf(fault.TrapBadSignature, "unimplemented opcode %s", op.Code)
-						}
+					n0 := len(out)
+					var bad *compile.Op
+					out, pos, streamBits, bad = l.execOps(cs.Ops, out, pos, streamBits)
+					outBytes += uint64(len(out) - n0)
+					ss, halted = l.ss, l.halted
+					if bad != nil {
+						// Unreachable: lowerAction admits only the ops
+						// execOps implements. Mirror the interpreter's
+						// diagnostics.
+						l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+						return l.trapf(fault.TrapBadSignature, "unimplemented opcode %s", bad.Code)
 					}
 				}
 			} else if cs.Flags&compile.FlagSlow != 0 {
@@ -448,4 +373,223 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 	}
 	l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
 	return nil
+}
+
+// execOps runs a fused chain's micro-ops on the lane's registers: the one
+// micro-op executor, shared by the exact loop and the fast horizon. It
+// takes and returns the loop's output buffer, stream cursor and stream-bit
+// count; symbol-size changes and halts land on the lane (l.ss, l.halted),
+// which the caller reloads. The caller counts output bytes from the growth
+// of out (emitBits also bumps l.stats.OutBytes, which the loop overwrites
+// at its next sync). It stops at an op it does not implement and returns
+// it, nil otherwise.
+func (l *Lane) execOps(ops []compile.Op, out []byte, pos int64, streamBits uint64) ([]byte, int64, uint64, *compile.Op) {
+	regs := &l.regs
+	for i := range ops {
+		op := &ops[i]
+		switch op.Code {
+		case core.OpNop:
+		case core.OpAdd:
+			regs[op.Dst&0xF] = regs[op.Ref&0xF] + regs[op.Src&0xF]
+		case core.OpAddi:
+			regs[op.Dst&0xF] = regs[op.Src&0xF] + op.Imm
+		case core.OpSub:
+			regs[op.Dst&0xF] = regs[op.Ref&0xF] - regs[op.Src&0xF]
+		case core.OpSubi:
+			regs[op.Dst&0xF] = regs[op.Src&0xF] - op.Imm
+		case core.OpMul:
+			regs[op.Dst&0xF] = regs[op.Ref&0xF] * regs[op.Src&0xF]
+		case core.OpMuli:
+			regs[op.Dst&0xF] = regs[op.Src&0xF] * op.Imm
+		case core.OpAnd:
+			regs[op.Dst&0xF] = regs[op.Ref&0xF] & regs[op.Src&0xF]
+		case core.OpAndi:
+			regs[op.Dst&0xF] = regs[op.Src&0xF] & op.Imm
+		case core.OpOr:
+			regs[op.Dst&0xF] = regs[op.Ref&0xF] | regs[op.Src&0xF]
+		case core.OpOri:
+			regs[op.Dst&0xF] = regs[op.Src&0xF] | op.Imm
+		case core.OpXor:
+			regs[op.Dst&0xF] = regs[op.Ref&0xF] ^ regs[op.Src&0xF]
+		case core.OpXori:
+			regs[op.Dst&0xF] = regs[op.Src&0xF] ^ op.Imm
+		case core.OpNot:
+			regs[op.Dst&0xF] = ^regs[op.Src&0xF]
+		case core.OpShl:
+			regs[op.Dst&0xF] = regs[op.Ref&0xF] << (regs[op.Src&0xF] & 31)
+		case core.OpShli:
+			regs[op.Dst&0xF] = regs[op.Src&0xF] << (op.Imm & 31)
+		case core.OpShr:
+			regs[op.Dst&0xF] = regs[op.Ref&0xF] >> (regs[op.Src&0xF] & 31)
+		case core.OpShri:
+			regs[op.Dst&0xF] = regs[op.Src&0xF] >> (op.Imm & 31)
+		case core.OpMov:
+			regs[op.Dst&0xF] = regs[op.Src&0xF]
+		case core.OpMovi:
+			regs[op.Dst&0xF] = op.Imm
+		case core.OpLui:
+			regs[op.Dst&0xF] = regs[op.Src&0xF]&0xFFFF | op.Imm<<16
+		case core.OpSeq:
+			regs[op.Dst&0xF] = b2u(regs[op.Ref&0xF] == regs[op.Src&0xF])
+		case core.OpSeqi:
+			regs[op.Dst&0xF] = b2u(regs[op.Src&0xF] == op.Imm)
+		case core.OpSne:
+			regs[op.Dst&0xF] = b2u(regs[op.Ref&0xF] != regs[op.Src&0xF])
+		case core.OpSnei:
+			regs[op.Dst&0xF] = b2u(regs[op.Src&0xF] != op.Imm)
+		case core.OpSlt:
+			regs[op.Dst&0xF] = b2u(regs[op.Ref&0xF] < regs[op.Src&0xF])
+		case core.OpSlti:
+			regs[op.Dst&0xF] = b2u(regs[op.Src&0xF] < op.Imm)
+		case core.OpSge:
+			regs[op.Dst&0xF] = b2u(regs[op.Ref&0xF] >= regs[op.Src&0xF])
+		case core.OpMin:
+			regs[op.Dst&0xF] = min(regs[op.Ref&0xF], regs[op.Src&0xF])
+		case core.OpMax:
+			regs[op.Dst&0xF] = max(regs[op.Ref&0xF], regs[op.Src&0xF])
+		case core.OpOut8:
+			out = append(out, byte(regs[op.Src&0xF]))
+		case core.OpOut16:
+			v := regs[op.Src&0xF]
+			out = append(out, byte(v), byte(v>>8))
+		case core.OpOut32:
+			v := regs[op.Src&0xF]
+			out = append(out, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		case core.OpOutI:
+			out = append(out, byte(op.Imm))
+		case core.OpEmitBits:
+			l.out = out
+			l.emitBits(regs[op.Src&0xF], uint(op.Imm&31))
+			out = l.out
+		case core.OpEmitBitsR:
+			l.out = out
+			l.emitBits(regs[op.Src&0xF], uint(regs[op.Ref&0xF]&31))
+			out = l.out
+		case core.OpFlushBits:
+			if l.bitN > 0 {
+				l.out = out
+				l.emitBits(0, 8-l.bitN%8)
+				out = l.out
+			}
+		case core.OpSetSS:
+			l.ss = uint8(op.Imm)
+			l.stats.SetSSOps++
+		case core.OpPutBack:
+			pos -= int64(uint8(op.Imm))
+			if pos < 0 {
+				pos = 0
+			}
+			streamBits -= uint64(op.Imm)
+		case core.OpPutBackR:
+			v := regs[op.Src&0xF]
+			pos -= int64(uint8(v))
+			if pos < 0 {
+				pos = 0
+			}
+			streamBits -= uint64(v)
+		case core.OpRead:
+			l.stream.pos = pos
+			regs[op.Dst&0xF] = l.stream.Take(uint8(op.Imm))
+			pos = l.stream.pos
+			streamBits += uint64(op.Imm)
+		case core.OpSetBase:
+			l.memBase = regs[op.Src&0xF] + op.Imm
+		case core.OpHash:
+			shift := 32 - op.Imm&31
+			regs[op.Dst&0xF] = regs[op.Src&0xF] * 0x1e35a7bd >> shift
+		case core.OpAccept:
+			l.matches = append(l.matches, Match{PatternID: int32(op.Imm), BitPos: pos})
+		case core.OpHalt:
+			l.halted = true
+			l.exit = int32(op.Imm)
+		default:
+			return out, pos, streamBits, op
+		}
+	}
+	return out, pos, streamBits, nil
+}
+
+// horizon is the part of the compiled loop's state a fast-horizon dispatch
+// moves; every other counter moves in lockstep with the dispatch count and
+// is settled by the caller.
+type horizon struct {
+	cycles, fallbackProbes uint64
+	pos                    int64
+	out                    []byte
+	base                   int
+	baseSig                uint8
+	mode                   core.DispatchMode
+}
+
+// symAt reads the ss-bit symbol (ss = 4 or 8) at the symbol-aligned bit
+// position pos.
+func symAt(data []byte, pos int64, ss uint8) uint32 {
+	b := uint32(data[pos>>3])
+	if ss == 8 {
+		return b
+	}
+	return b >> (4 - uint64(pos&4)) & 0xF
+}
+
+// runHorizon commits up to n dispatches from the aligned cursor, stopping
+// at the first one the exact path would handle differently: a probe outside
+// the image, a signature miss without a majority fallback, a default or
+// refill transition, a slow chain, a chain that moves the cursor, resizes
+// symbols or halts, or a move into flagged mode. It returns the number
+// committed and the output length before the last of them. It is kept out
+// of runCompiled so its loop gets registers of its own.
+func (l *Lane) runHorizon(h *horizon, n uint64, ring *[fault.TraceTail]fault.TraceEntry, ringN uint64) (k uint64, lastOut int) {
+	slots, data, ss, regs := l.comp.Slots, l.stream.data, l.ss, &l.regs
+	cycles, fallbackProbes, pos, out := h.cycles, h.fallbackProbes, h.pos, h.out
+	base, baseSig, mode := h.base, h.baseSig, h.mode
+	for ; k < n && mode <= core.ModeCommon; k++ {
+		sym := symAt(data, pos, ss)
+		slot := base + int(sym)
+		if mode == core.ModeCommon {
+			slot = base
+		}
+		if uint(slot) >= uint(len(slots)) {
+			break
+		}
+		cs := &slots[slot]
+		c := uint64(1)
+		if cs.Sig != baseSig {
+			if base == 0 {
+				break
+			}
+			cs = &slots[base-1]
+			if cs.Sig != baseSig || cs.Kind != core.KindMajority {
+				break
+			}
+			c = 2
+		} else if cs.Kind == core.KindDefault || cs.Kind == core.KindRefill {
+			break
+		}
+		if cs.Flags&(compile.FlagSlow|compile.FlagControl) != 0 {
+			break
+		}
+		regs[core.RSym] = sym
+		ring[(ringN+k)%fault.TraceTail] = fault.TraceEntry{Cycle: cycles + 1, Base: base, Sym: sym}
+		cycles += c + uint64(cs.Cost)
+		fallbackProbes += c - 1
+		pos += int64(ss)
+		lastOut = len(out)
+		if cs.Flags&compile.FlagFused != 0 {
+			switch cs.Spec {
+			case compile.SpecOut8:
+				out = append(out, byte(regs[cs.A&0xF]))
+			case compile.SpecOutI:
+				out = append(out, byte(cs.Imm))
+			default:
+				// A chain without FlagControl leaves the cursor and the
+				// stream-bit count alone, and every op lowerAction admits
+				// is one execOps implements.
+				out, _, _, _ = l.execOps(cs.Ops, out, pos, 0)
+			}
+		}
+		base, baseSig, mode = int(cs.NextBase), cs.NextSig, cs.NextMode
+	}
+	h.cycles, h.fallbackProbes, h.pos, h.out = cycles, fallbackProbes, pos, out
+	h.base, h.baseSig, h.mode = base, baseSig, mode
+	return k, lastOut
 }

@@ -3,12 +3,13 @@
 // semantics), on the predecoded cache (EngineDecoded), and on the compiled
 // tier (EngineCompiled) — and everything observable must match bit for bit:
 // output bytes, exit code, accept matches, the full counter set, the final
-// memory image, and any trap (including the trap's cycle). The suite covers
-// the builtin server kernels (echo, csvparse, csvpipe, jsonparse, xmlparse,
+// memory image, the register file, and any trap as a whole record (kind,
+// cycle, state, detail and dispatch-trace tail). The suite covers the
+// builtin server kernels (echo, csvparse, csvpipe, jsonparse, xmlparse,
 // histogram16), a memory-counter histogram, every dispatch kind (labeled,
-// majority, default, refill, common, flagged, epsilon/NFA), runtime traps
-// under an injected fault budget, and self-modifying programs that force
-// cache invalidation.
+// majority, default, refill, common, flagged, epsilon/NFA), runtime traps,
+// every cycle budget over a run, a pending stop, fuzzed inputs, and
+// self-modifying programs that force cache invalidation.
 //
 // It lives in machine_test (not machine) because the pattern kernel imports
 // machine for its UDP runner.
@@ -16,11 +17,16 @@ package machine_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"udp/internal/core"
 	"udp/internal/effclip"
 	"udp/internal/encode"
+	"udp/internal/fault"
 	"udp/internal/kernels/csvparse"
 	"udp/internal/kernels/histogram"
 	"udp/internal/kernels/jsonparse"
@@ -46,6 +52,7 @@ type runOut struct {
 	stats   machine.Stats
 	matches []machine.Match
 	mem     []byte
+	regs    [core.NumRegs]uint32
 	err     error
 	// engine is the tier the run actually executed on (EngineInUse), so
 	// cases can assert both that a tier was really exercised and that
@@ -60,12 +67,23 @@ func runPath(t *testing.T, img *effclip.Image, input []byte, setup func(*machine
 		t.Fatal(err)
 	}
 	lane.SetEngine(engine)
+	return runLane(lane, input, setup, budget)
+}
+
+// runLane resets a lane and runs input through it on the lane's engine.
+func runLane(lane *machine.Lane, input []byte, setup func(*machine.Lane), budget uint64) runOut {
+	lane.Reset()
 	lane.SetInput(input)
 	if setup != nil {
 		setup(lane)
 	}
 	runErr := lane.Run(budget)
+	var regs [core.NumRegs]uint32
+	for r := range regs {
+		regs[r] = lane.Reg(core.Reg(r))
+	}
 	return runOut{
+		regs:    regs,
 		out:     append([]byte(nil), lane.Output()...),
 		exit:    lane.Exit(),
 		stats:   lane.Stats(),
@@ -78,39 +96,53 @@ func runPath(t *testing.T, img *effclip.Image, input []byte, setup func(*machine
 
 // diffAgainst fails the test on any observable divergence between the
 // reference run and another tier's run.
-func diffAgainst(t *testing.T, name string, ref, got runOut) {
+func diffAgainst(t testing.TB, name string, ref, got runOut) {
 	t.Helper()
-	refErr, gotErr := "", ""
-	if ref.err != nil {
-		refErr = ref.err.Error()
+	if d := divergence(name, ref, got); d != "" {
+		t.Fatal(d)
 	}
-	if got.err != nil {
-		gotErr = got.err.Error()
-	}
-	if refErr != gotErr {
-		t.Fatalf("error diverged:\n  memory:  %v\n  %s: %v", ref.err, name, got.err)
+}
+
+// divergence describes the first observable difference between the
+// reference run and another tier's run, or returns "" when they match. A
+// trap is compared as a whole record — kind, program, state, cycle, detail
+// and dispatch-trace tail — not only by its message.
+func divergence(name string, ref, got runOut) string {
+	var refTrap, gotTrap *fault.Trap
+	errors.As(ref.err, &refTrap)
+	errors.As(got.err, &gotTrap)
+	if refTrap != nil || gotTrap != nil {
+		if refTrap == nil || gotTrap == nil || !reflect.DeepEqual(*refTrap, *gotTrap) {
+			return fmt.Sprintf("trap diverged:\n  memory:  %#v\n  %s: %#v", refTrap, name, gotTrap)
+		}
+	} else if !errors.Is(got.err, ref.err) {
+		return fmt.Sprintf("error diverged:\n  memory:  %v\n  %s: %v", ref.err, name, got.err)
 	}
 	if !bytes.Equal(ref.out, got.out) {
-		t.Fatalf("output diverged: memory %d bytes, %s %d bytes\nmemory: %.80q\n%s: %.80q",
+		return fmt.Sprintf("output diverged: memory %d bytes, %s %d bytes\nmemory: %.80q\n%s: %.80q",
 			len(ref.out), name, len(got.out), ref.out, name, got.out)
 	}
 	if ref.exit != got.exit {
-		t.Fatalf("exit diverged: memory %d, %s %d", ref.exit, name, got.exit)
+		return fmt.Sprintf("exit diverged: memory %d, %s %d", ref.exit, name, got.exit)
 	}
 	if ref.stats != got.stats {
-		t.Fatalf("stats diverged:\n  memory:  %+v\n  %s: %+v", ref.stats, name, got.stats)
+		return fmt.Sprintf("stats diverged:\n  memory:  %+v\n  %s: %+v", ref.stats, name, got.stats)
 	}
 	if len(ref.matches) != len(got.matches) {
-		t.Fatalf("match count diverged: memory %d, %s %d", len(ref.matches), name, len(got.matches))
+		return fmt.Sprintf("match count diverged: memory %d, %s %d", len(ref.matches), name, len(got.matches))
 	}
 	for i := range ref.matches {
 		if ref.matches[i] != got.matches[i] {
-			t.Fatalf("match %d diverged: memory %+v, %s %+v", i, ref.matches[i], name, got.matches[i])
+			return fmt.Sprintf("match %d diverged: memory %+v, %s %+v", i, ref.matches[i], name, got.matches[i])
 		}
 	}
 	if !bytes.Equal(ref.mem, got.mem) {
-		t.Fatalf("final memory image diverged (%s)", name)
+		return fmt.Sprintf("final memory image diverged (%s)", name)
 	}
+	if ref.regs != got.regs {
+		return fmt.Sprintf("registers diverged:\n  memory:  %v\n  %s: %v", ref.regs, name, got.regs)
+	}
+	return ""
 }
 
 // diffRun executes input on all three tiers and fails the test on any
@@ -183,6 +215,17 @@ func TestDifferentialKernels(t *testing.T) {
 			root.On(3, root, emit('z')...)
 			return p
 		}, workload.Text(workload.TextLog, 4<<10, 7)},
+		{"prefix-refill-4bit", func(t *testing.T) *core.Program {
+			// 4-bit symbols where a leading 0 bit consumes only that bit:
+			// refill dispatches interleave with whole-symbol emits.
+			p := core.NewProgram("prefix4", 4)
+			root := p.AddState("root", core.ModeStream)
+			for v := uint32(0); v < 8; v++ {
+				root.OnRefill(v, 1, root, core.Action{Op: core.OpOutI, Imm: '0'})
+			}
+			root.Majority(root, core.AOut8(core.RSym))
+			return p
+		}, workload.Text(workload.TextLog, 4<<10, 8)},
 		{"default-d2fa", func(t *testing.T) *core.Program {
 			p := core.NewProgram("d2fa", 8)
 			a := p.AddState("a", core.ModeStream)
@@ -200,6 +243,41 @@ func TestDifferentialKernels(t *testing.T) {
 			s1.Common(s0, core.AOut8(core.RSym))
 			return p
 		}, workload.Text(workload.TextEnglish, 4<<10, 11)},
+		{"generic-chains", func(t *testing.T) *core.Program {
+			// Multi-op fused chains over every op class the fast horizon
+			// runs through the shared executor (ALU, hash, wide and
+			// bit-packed output, accept, window base), with a slow
+			// memory-reading chain at each newline.
+			p := core.NewProgram("generic", 8)
+			s := p.AddState("s", core.ModeStream)
+			s.Majority(s,
+				core.AAdd(core.R1, core.R1, core.RSym),
+				core.AHash(core.R2, core.R1, 12),
+				core.Action{Op: core.OpOut16, Src: core.R2},
+				core.AOut32(core.R1),
+				core.Action{Op: core.OpSge, Dst: core.R3, Ref: core.R1, Src: core.R2},
+				core.AEmitBits(core.RSym, 3),
+				core.AAccept(5),
+				core.Action{Op: core.OpSetBase, Src: core.R3, Imm: 16})
+			s.On('\n', s,
+				core.Action{Op: core.OpFlushBits},
+				core.ALd8(core.R5, core.R0, 0),
+				core.AOut8(core.R5))
+			return p
+		}, workload.Text(workload.TextLog, 4<<10, 13)},
+		{"stream-to-flagged", func(t *testing.T) *core.Program {
+			// An emit-only transition into a flagged state, which
+			// dispatches on R0 without consuming the stream.
+			p := core.NewProgram("stream-flag", 8)
+			s := p.AddState("s", core.ModeStream)
+			f := p.AddState("f", core.ModeFlagged)
+			f.SymbolBits = 2
+			s.On('e', f, core.AOut8(core.RSym))
+			s.Majority(s, core.AOut8(core.RSym))
+			f.On(0, s, core.Action{Op: core.OpOutI, Imm: 'F'})
+			f.Majority(s, core.Action{Op: core.OpOutI, Imm: 'G'})
+			return p
+		}, workload.Text(workload.TextEnglish, 4<<10, 12)},
 		{"flagged", func(t *testing.T) *core.Program {
 			p := core.NewProgram("flag", 8)
 			p.SymbolBits = 8
@@ -266,6 +344,15 @@ func TestDifferentialTraps(t *testing.T) {
 			s.Majority(s, core.Action{Op: core.OpPutBack, Imm: 8})
 			return p
 		}, []byte("a"), func(l *machine.Lane) { l.SetLivelockWindow(256) }, 0},
+		{"livelock-after-echo", func(t *testing.T) *core.Program {
+			// A run of echoed bytes, then a put-back livelock: the stall
+			// count must start from the watermark the last echo left.
+			p := core.NewProgram("echo-livelock", 8)
+			s := p.AddState("s", core.ModeStream)
+			s.On('x', s, core.Action{Op: core.OpPutBack, Imm: 8})
+			s.Majority(s, core.AOut8(core.RSym))
+			return p
+		}, []byte("echo then livelock x"), func(l *machine.Lane) { l.SetLivelockWindow(16) }, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -276,6 +363,150 @@ func TestDifferentialTraps(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sweepKernel is one kernel image with a small input, sized so a test can
+// afford every cycle budget up to the run's total.
+type sweepKernel struct {
+	name  string
+	img   *effclip.Image
+	input []byte
+}
+
+// sweepKernels builds the echo, csvparse, jsonparse and histogram16-emit
+// images (8-bit and 4-bit symbols, single-op and generic fused chains,
+// refill and default transitions) with short inputs.
+func sweepKernels(t testing.TB) []sweepKernel {
+	t.Helper()
+	hist, err := histogram.BuildProgramEmit(histogram.UniformEdges(16, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := []struct {
+		name  string
+		prog  *core.Program
+		input []byte
+	}{
+		{"echo", echoProgram(), workload.Text(workload.TextEnglish, 300, 1)},
+		{"csvparse", csvparse.BuildProgram(), workload.CrimesCSV(workload.CSVSpec{Name: "crimes", Rows: 3, Seed: 2})},
+		{"jsonparse", jsonparse.BuildProgram(), workload.JSONRecords(2, 3)},
+		{"histogram16", hist, histogram.KeyBytes(workload.FloatColumn(24, workload.DistUniform, 0, 1, 4))},
+	}
+	out := make([]sweepKernel, 0, len(ks))
+	for _, k := range ks {
+		im, err := effclip.Layout(k.prog, effclip.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, sweepKernel{k.name, im, k.input})
+	}
+	return out
+}
+
+// tierLanes returns one lane per tier (interp, decoded, compiled) for img.
+func tierLanes(t testing.TB, img *effclip.Image) [3]*machine.Lane {
+	t.Helper()
+	var lanes [3]*machine.Lane
+	for i, e := range []machine.Engine{machine.EngineInterp, machine.EngineDecoded, machine.EngineCompiled} {
+		lane, err := machine.NewLane(img, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lane.SetEngine(e)
+		lanes[i] = lane
+	}
+	return lanes
+}
+
+// diffLanes runs input on every tier's lane and returns the first
+// divergence from the interpreter, or "".
+func diffLanes(lanes [3]*machine.Lane, input []byte, setup func(*machine.Lane), budget uint64) (runOut, string) {
+	ref := runLane(lanes[0], input, setup, budget)
+	if d := divergence("decoded", ref, runLane(lanes[1], input, setup, budget)); d != "" {
+		return ref, d
+	}
+	return ref, divergence("compiled", ref, runLane(lanes[2], input, setup, budget))
+}
+
+// TestDifferentialBudgetSweep runs every cycle budget from 1 to one past
+// the run's total on each tier: whichever dispatch the budget trap lands
+// on, the trap record (cycle, state, trace tail) and the stats must match.
+func TestDifferentialBudgetSweep(t *testing.T) {
+	for _, k := range sweepKernels(t) {
+		t.Run(k.name, func(t *testing.T) {
+			lanes := tierLanes(t, k.img)
+			full, d := diffLanes(lanes, k.input, nil, 0)
+			if d != "" {
+				t.Fatal(d)
+			}
+			if full.err != nil {
+				t.Fatalf("unbudgeted run: %v", full.err)
+			}
+			total := full.stats.Cycles
+			for budget := uint64(1); budget <= total+1; budget++ {
+				ref, d := diffLanes(lanes, k.input, nil, budget)
+				if d != "" {
+					t.Fatalf("budget %d of %d: %s", budget, total, d)
+				}
+				if (ref.err == nil) != (budget > total) {
+					t.Fatalf("budget %d of %d: run error %v", budget, total, ref.err)
+				}
+			}
+			if got := lanes[2].EngineInUse(); got != machine.EngineCompiled {
+				t.Fatalf("compiled lane ran %v", got)
+			}
+		})
+	}
+}
+
+// TestDifferentialInterrupt binds a stop flag that is already set: every
+// tier must return ErrInterrupted at the same stop poll, with identical
+// stats, output and trace state.
+func TestDifferentialInterrupt(t *testing.T) {
+	var stop atomic.Bool
+	stop.Store(true)
+	bind := func(l *machine.Lane) { l.BindStop(&stop) }
+	keys := histogram.KeyBytes(workload.FloatColumn(2048, workload.DistUniform, 0, 1, 4))
+	for _, k := range sweepKernels(t) {
+		t.Run(k.name, func(t *testing.T) {
+			input := k.input
+			if k.name == "histogram16" {
+				input = keys
+			}
+			for len(input) < 16<<10 {
+				input = append(input[:len(input):len(input)], input...)
+			}
+			ref, d := diffLanes(tierLanes(t, k.img), input, bind, 0)
+			if d != "" {
+				t.Fatal(d)
+			}
+			if !errors.Is(ref.err, machine.ErrInterrupted) {
+				t.Fatalf("reference run returned %v, want ErrInterrupted", ref.err)
+			}
+		})
+	}
+}
+
+// FuzzCompiledDiff fuzzes the input bytes and the cycle budget (0 means
+// none) over the echo, csvparse and histogram16-emit images: all three tiers
+// must agree on output, stats and the trap record.
+func FuzzCompiledDiff(f *testing.F) {
+	var kernels []sweepKernel
+	for _, k := range sweepKernels(f) {
+		if k.name != "jsonparse" {
+			kernels = append(kernels, k)
+		}
+	}
+	for i, k := range kernels {
+		f.Add(k.input, uint16(0), uint8(i))
+		f.Add(k.input, uint16(len(k.input)), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, input []byte, budget uint16, kernel uint8) {
+		k := kernels[int(kernel)%len(kernels)]
+		if _, d := diffLanes(tierLanes(t, k.img), input, nil, uint64(budget)); d != "" {
+			t.Fatalf("%s, budget %d: %s", k.name, budget, d)
+		}
+	})
 }
 
 // TestDifferentialNFA covers multi-active (epsilon/fork-chain) execution
@@ -516,40 +747,55 @@ func TestCompiledZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchLane measures the per-lane interpreter over the csvparse kernel, the
-// most action-heavy builtin. Run with -benchmem: the steady state must
-// report 0 allocs/op on every tier.
+// benchLane measures one tier over each L0 kernel: csvparse (the most
+// action-heavy builtin), echo (one emit per byte) and histogram16 (4-bit
+// symbols). Run with -benchmem: the steady state must report 0 allocs/op on
+// every tier.
 func benchLane(b *testing.B, engine machine.Engine) {
-	prog := csvparse.BuildProgram()
-	img, err := effclip.Layout(prog, effclip.Options{})
+	hist, err := histogram.BuildProgramEmit(histogram.UniformEdges(16, 0, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	input := workload.CrimesCSV(workload.CSVSpec{Name: "crimes", Rows: 500, Seed: 3})
-	lane, err := machine.NewLane(img, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lane.SetEngine(engine)
-	// Warm the output buffer so b.N=1 runs do not report the one-time
-	// capacity growth.
-	lane.Reset()
-	lane.SetInput(input)
-	if err := lane.Run(0); err != nil {
-		b.Fatal(err)
-	}
-	if got := lane.EngineInUse(); got != engine {
-		b.Fatalf("engine in use %v, want %v", got, engine)
-	}
-	b.SetBytes(int64(len(input)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lane.Reset()
-		lane.SetInput(input)
-		if err := lane.Run(0); err != nil {
-			b.Fatal(err)
-		}
+	for _, k := range []struct {
+		name  string
+		prog  *core.Program
+		input []byte
+	}{
+		{"csvparse", csvparse.BuildProgram(), workload.CrimesCSV(workload.CSVSpec{Name: "crimes", Rows: 500, Seed: 3})},
+		{"echo", echoProgram(), workload.Text(workload.TextEnglish, 64<<10, 3)},
+		{"histogram16", hist, histogram.KeyBytes(workload.FloatColumn(8192, workload.DistUniform, 0, 1, 3))},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			img, err := effclip.Layout(k.prog, effclip.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			lane, err := machine.NewLane(img, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lane.SetEngine(engine)
+			// Warm the output buffer so b.N=1 runs do not report the
+			// one-time capacity growth.
+			lane.Reset()
+			lane.SetInput(k.input)
+			if err := lane.Run(0); err != nil {
+				b.Fatal(err)
+			}
+			if got := lane.EngineInUse(); got != engine {
+				b.Fatalf("engine in use %v, want %v", got, engine)
+			}
+			b.SetBytes(int64(len(k.input)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lane.Reset()
+				lane.SetInput(k.input)
+				if err := lane.Run(0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

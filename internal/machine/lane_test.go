@@ -327,6 +327,46 @@ func TestBitStreamProperty(t *testing.T) {
 	}
 }
 
+// takeSerial is the bit-serial reference for BitStream.Take: one bit at a
+// time, zero past the end, keeping the last 32 bits when n > 32.
+func takeSerial(data []byte, pos int64, n uint8) uint32 {
+	var v uint32
+	for i := uint8(0); i < n; i++ {
+		v <<= 1
+		if idx := pos >> 3; idx < int64(len(data)) {
+			v |= uint32(data[idx] >> (7 - uint(pos&7)) & 1)
+		}
+		pos++
+	}
+	return v
+}
+
+// TestBitStreamTakeWindow checks the windowed Take against the bit-serial
+// reference for every width and every start bit, through the zero-padded
+// tail and past the end of the stream.
+func TestBitStreamTakeWindow(t *testing.T) {
+	data := make([]byte, 21)
+	for i := range data {
+		data[i] = byte(i*0x9D + 0x37)
+	}
+	bs := NewBitStream(data)
+	widths := []uint8{33, 40, 64, 255}
+	for n := uint8(0); n <= 32; n++ {
+		widths = append(widths, n)
+	}
+	for _, n := range widths {
+		for start := int64(0); start <= int64(len(data)+9)*8; start++ {
+			bs.pos = start
+			if got, want := bs.Take(n), takeSerial(data, start, n); got != want {
+				t.Fatalf("Take(%d) at bit %d = %#x, want %#x", n, start, got, want)
+			}
+			if bs.pos != start+int64(n) {
+				t.Fatalf("Take(%d) at bit %d moved to %d, want %d", n, start, bs.pos, start+int64(n))
+			}
+		}
+	}
+}
+
 func TestSplitRecords(t *testing.T) {
 	data := []byte("a,1\nbb,22\nccc,333\ndd,44\ne,5\n")
 	shards := SplitRecords(data, 3, '\n')

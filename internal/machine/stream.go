@@ -7,6 +7,8 @@
 // event counters the evaluation and energy models consume.
 package machine
 
+import "encoding/binary"
+
 // BitStream is the lane stream buffer: an MSB-first bit cursor over an input
 // byte slice with putback support (paper Section 3.2.2). The prefetch unit is
 // modeled as zero-latency (stream reads are hidden behind dispatch).
@@ -47,20 +49,30 @@ func (b *BitStream) SeekBit(pos int64) {
 
 // Take consumes the next n bits (n <= 32) MSB first and returns them in the
 // low bits of the result. The caller must check Has first; Take returns what
-// remains zero-padded otherwise.
+// remains zero-padded otherwise. For n > 32 it consumes all n bits and
+// returns the last 32.
 func (b *BitStream) Take(n uint8) uint32 {
-	var v uint32
-	for i := uint8(0); i < n; i++ {
-		byteIdx := b.pos >> 3
-		if byteIdx >= int64(len(b.data)) {
-			v <<= 1
-		} else {
-			bit := b.data[byteIdx] >> (7 - uint(b.pos&7)) & 1
-			v = v<<1 | uint32(bit)
-		}
-		b.pos++
+	if n > 32 {
+		b.pos += int64(n - 32)
+		n = 32
 	}
-	return v
+	pos := b.pos
+	b.pos += int64(n)
+	// The n bits start at bit pos&7 of the 64-bit big-endian window at byte
+	// pos>>3, and 7+32 bits always fit in it.
+	i := pos >> 3
+	var w uint64
+	if i+8 <= int64(len(b.data)) {
+		w = binary.BigEndian.Uint64(b.data[i:])
+	} else {
+		for j := i; j < i+8; j++ {
+			w <<= 8
+			if j < int64(len(b.data)) {
+				w |= uint64(b.data[j])
+			}
+		}
+	}
+	return uint32(w << uint(pos&7) >> (64 - uint(n)))
 }
 
 // TakeByteFast consumes one aligned byte when possible, else falls back to

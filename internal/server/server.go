@@ -734,6 +734,12 @@ func (s *Server) runTransform(w http.ResponseWriter, r *http.Request, prog *Prog
 		engine = e
 	}
 
+	// Response frames flush while the executor is still reading the body.
+	// Without full duplex, Go's HTTP/1.x server discards the unread body
+	// when the headers go out, and the transform fails mid-stream. HTTP/2
+	// is always full duplex and reports ErrNotSupported here.
+	_ = http.NewResponseController(w).EnableFullDuplex()
+
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
 

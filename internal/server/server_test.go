@@ -53,6 +53,64 @@ func TestTransformGzipCSVStream(t *testing.T) {
 	}
 }
 
+// TestTransformFullDuplex streams an echo body through a pipe: the client
+// sends two frames' worth, waits for the 200 headers, and only then sends
+// the rest. The handler flushes response frames while the request body is
+// still arriving, so the server must keep reading the body after the
+// headers go out instead of discarding it.
+func TestTransformFullDuplex(t *testing.T) {
+	srv := server.New(server.Options{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	frame := server.DefaultFrameBytes
+	body := bytes.Repeat([]byte("full duplex echo\n"), 4*frame/17+1)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/transform/echo?chunk=4096", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	headers := make(chan struct{})
+	sent := make(chan error, 1)
+	go func() {
+		if _, err := pw.Write(body[:2*frame]); err != nil {
+			sent <- err
+			return
+		}
+		select {
+		case <-headers:
+		case <-ctx.Done():
+			pw.CloseWithError(ctx.Err())
+			sent <- ctx.Err()
+			return
+		}
+		_, err := pw.Write(body[2*frame:])
+		pw.CloseWithError(err)
+		sent <- err
+	}()
+	resp, err := ts.Client().Do(req)
+	close(headers)
+	if err != nil {
+		t.Fatalf("no response headers before the body ended: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading the response after %d of %d bytes: %v", len(got), len(body), err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatalf("sending the body: %v", err)
+	}
+	if !bytes.Equal(got, body) {
+		t.Fatalf("echo returned %d bytes, want the %d sent", len(got), len(body))
+	}
+}
+
 func TestTransformPlainBodyAndEmptyInput(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
 	raw := sampleCSV(50)
