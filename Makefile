@@ -38,12 +38,15 @@ race:
 	$(GO) test -race ./internal/load ./internal/machine ./internal/memsys ./internal/sched ./internal/server ./internal/kernels/... .
 
 # Short fuzz passes over the hostile-input surfaces: the fault-injection
-# spec parser, the record chunker, and the lane's three execution tiers
-# (inputs and cycle budgets that must run bit-identically on each).
+# spec parser, the record chunker, the lane's three execution tiers
+# (inputs and cycle budgets that must run bit-identically on each), and
+# EffCLiP layout of random programs (images must keep both signature-safety
+# properties).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseInjectSpec -fuzztime=10s ./internal/fault
 	$(GO) test -run=NONE -fuzz=FuzzRecords -fuzztime=10s ./internal/sched
 	$(GO) test -run=NONE -fuzz=FuzzCompiledDiff -fuzztime=10s ./internal/machine
+	$(GO) test -run=NONE -fuzz=FuzzLayout -fuzztime=10s ./internal/effclip
 
 # The CI gate: tier-1 (build + test) plus gofmt, vet, the race detector
 # over the whole module, the fuzz smoke, and the udpserved smoke test.

@@ -20,7 +20,9 @@
 package effclip
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -168,18 +170,26 @@ type placed struct {
 	base  int
 	// rangeLen is the probe range (2^symbolBits), 1 for common mode.
 	rangeLen int
-	// words are the absolute addresses of the state's own transition
-	// words (slots, fallback, fork-chain entries).
-	words []int
 }
 
+// The packer keeps its per-word state in dense arrays indexed by word
+// address, grown on demand and never past the image word limit: placement
+// asks "is this word free" and "does any word in this window carry
+// signature x" once per word of every candidate base, so these must be
+// plain loads and byte scans, not hash lookups.
 type packer struct {
 	prog *core.Program
 	opt  Options
+	// limit is the image size cap in words: Options.MaxWords, else the
+	// lane window below DataBase or the whole local memory.
+	limit int
 
-	occupied  map[int]bool
-	baseUsed  map[int]bool
-	wordOwner map[int]*core.State
+	// sig holds, per transition-region word, the signature of the state
+	// that owns it (fork-chain continuations included); 0 marks a free
+	// word.
+	sig []uint8
+	// baseUsed marks the words already taken as some state's base.
+	baseUsed []bool
 	// byBase is kept sorted by base for range-cover queries.
 	byBase   []*placed
 	place    map[*core.State]*placed
@@ -192,21 +202,6 @@ func Layout(p *core.Program, opt Options) (*Image, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	pk := &packer{
-		prog:      p,
-		opt:       opt,
-		occupied:  map[int]bool{},
-		baseUsed:  map[int]bool{},
-		wordOwner: map[int]*core.State{},
-		place:     map[*core.State]*placed{},
-	}
-	if err := pk.placeStates(); err != nil {
-		return nil, err
-	}
-	im, err := pk.emit()
-	if err != nil {
-		return nil, err
-	}
 	limit := opt.MaxWords
 	if limit == 0 {
 		limit = core.LocalMemBytes / core.WordBytes
@@ -214,9 +209,17 @@ func Layout(p *core.Program, opt Options) (*Image, error) {
 			limit = p.DataBase / core.WordBytes
 		}
 	}
-	if len(im.Words) > limit {
+	pk := &packer{prog: p, opt: opt, limit: limit, place: map[*core.State]*placed{}}
+	if err := pk.placeStates(); err != nil {
+		return nil, err
+	}
+	im, err := pk.emit()
+	if err != nil {
+		return nil, err
+	}
+	if len(im.Words) > pk.limit {
 		return nil, fmt.Errorf("effclip: program %q needs %d words, limit %d",
-			p.Name, len(im.Words), limit)
+			p.Name, len(im.Words), pk.limit)
 	}
 	if p.DataBase > 0 && p.DataBase < im.CodeBytes() {
 		return nil, fmt.Errorf("effclip: program %q data base %d overlaps code (%d bytes)",
@@ -241,23 +244,19 @@ func (pk *packer) stateRange(s *core.State) int {
 // words: one per distinct dispatch symbol plus -1 for a fallback. Fork-chain
 // continuation words are allocated separately.
 func slotOffsets(s *core.State) []int {
-	seen := map[uint32]bool{}
-	var offs []int
+	offs := make([]int, 0, len(s.Labeled)+1)
 	if s.Mode == core.ModeCommon {
 		offs = append(offs, 0)
 	} else {
 		for _, t := range s.Labeled {
-			if !seen[t.Symbol] {
-				seen[t.Symbol] = true
-				offs = append(offs, int(t.Symbol))
-			}
+			offs = append(offs, int(t.Symbol))
 		}
 	}
 	if s.Fallback != nil {
 		offs = append(offs, -1)
 	}
 	sort.Ints(offs)
-	return offs
+	return slices.Compact(offs) // fork chains share their head slot
 }
 
 func (pk *packer) placeStates() error {
@@ -266,11 +265,29 @@ func (pk *packer) placeStates() error {
 		offs []int
 	}
 	ws := make([]work, 0, len(pk.prog.States))
+	minSpan := 0 // any placed word makes the transition span at least 1
 	for _, s := range pk.prog.States {
-		ws = append(ws, work{s, slotOffsets(s)})
+		w := work{s, slotOffsets(s)}
+		ws = append(ws, w)
+		if len(w.offs) > 0 {
+			minSpan = 1
+		}
 		if r := pk.stateRange(s); r > pk.maxRange {
 			pk.maxRange = r
 		}
+	}
+	// The image holds the span, a guard pad of maxRange words and, when
+	// executable, at least one action word (the UAP accounting counts only
+	// the chains it duplicates): a state wider than the lane window is
+	// rejected here, before placement scans or allocates anything in
+	// proportion to it.
+	need := minSpan + pk.maxRange
+	if pk.opt.Policy != PolicyUAPOffset {
+		need++
+	}
+	if need > pk.limit {
+		return fmt.Errorf("effclip: program %q needs at least %d words, limit %d",
+			pk.prog.Name, need, pk.limit)
 	}
 	// First-fit decreasing by slot count, then by creation order for
 	// determinism.
@@ -284,29 +301,49 @@ func (pk *packer) placeStates() error {
 	return nil
 }
 
+// growTo extends the per-word arrays to cover addresses below n.
+func (pk *packer) growTo(n int) {
+	if n > len(pk.sig) {
+		pk.sig = append(pk.sig, make([]uint8, n-len(pk.sig))...)
+		pk.baseUsed = append(pk.baseUsed, make([]bool, n-len(pk.baseUsed))...)
+	}
+}
+
 func (pk *packer) placeOne(s *core.State, offs []int) error {
 	rng := pk.stateRange(s)
+	hiOff := 0 // highest word offset from base the state occupies
+	if len(offs) > 0 && offs[len(offs)-1] > 0 {
+		hiOff = offs[len(offs)-1]
+	}
 	base := 1 // keep word 0 free so base-1 is always addressable
-	for {
-		if ok := pk.fits(s, base, offs, rng); ok {
-			break
-		}
+	for !pk.fits(base, offs, rng) {
 		base++
-		if base > 1<<22 {
+		// A base whose lowest slot is taken cannot fit: jump to the next
+		// free word. Every base skipped fails the same slot check.
+		if len(offs) > 0 {
+			if a := base + offs[0]; a < len(pk.sig) && pk.sig[a] != 0 {
+				if i := bytes.IndexByte(pk.sig[a:], 0); i >= 0 {
+					base += i
+				} else {
+					base += len(pk.sig) - a
+				}
+			}
+		}
+		// A word at or past the limit would make the image too large.
+		if base > 1<<22 || base+hiOff >= pk.limit {
 			return fmt.Errorf("effclip: cannot place state %q", s.Name)
 		}
 	}
+	pk.growTo(base + hiOff + 1)
 	pk.baseUsed[base] = true
-	pl := &placed{state: s, base: base, rangeLen: rng}
+	sig := Sig(base)
 	for _, o := range offs {
-		addr := base + o
-		pk.occupied[addr] = true
-		pk.wordOwner[addr] = s
-		pl.words = append(pl.words, addr)
-		if addr+1 > pk.spanEnd {
-			pk.spanEnd = addr + 1
-		}
+		pk.sig[base+o] = sig
 	}
+	if len(offs) > 0 && base+offs[len(offs)-1]+1 > pk.spanEnd {
+		pk.spanEnd = base + offs[len(offs)-1] + 1
+	}
+	pl := &placed{state: s, base: base, rangeLen: rng}
 	pk.place[s] = pl
 	i := sort.Search(len(pk.byBase), func(i int) bool { return pk.byBase[i].base >= base })
 	pk.byBase = append(pk.byBase, nil)
@@ -316,32 +353,31 @@ func (pk *packer) placeOne(s *core.State, offs []int) error {
 }
 
 // fits checks slot freedom and both directions of the signature-collision
-// constraint for placing s at base.
-func (pk *packer) fits(s *core.State, base int, offs []int, rng int) bool {
-	if pk.baseUsed[base] {
+// constraint for placing a state with slot offsets offs and probe range rng
+// at base.
+func (pk *packer) fits(base int, offs []int, rng int) bool {
+	if base < len(pk.baseUsed) && pk.baseUsed[base] {
 		// Bases are unique per state: the lane frontier and the target
 		// field both identify states by base address.
 		return false
 	}
 	sig := Sig(base)
 	for _, o := range offs {
-		addr := base + o
-		if addr < 0 || pk.occupied[addr] {
+		if addr := base + o; addr < len(pk.sig) && pk.sig[addr] != 0 {
 			return false
 		}
 	}
-	// Direction 1: foreign words inside s's probe range must not share
-	// s's signature. Probes cover [base, base+rng) and the fallback word
-	// at base-1.
-	for addr := base - 1; addr < base+rng; addr++ {
-		if owner, ok := pk.wordOwner[addr]; ok && owner != s {
-			if Sig(pk.place[owner].base) == sig {
-				return false
-			}
+	// Direction 1: foreign words inside the probe range must not share the
+	// state's signature. Probes cover [base, base+rng) and the fallback
+	// word at base-1. The state owns no word yet, so every owned word in
+	// the window is foreign and one byte scan decides.
+	if lo := base - 1; lo < len(pk.sig) {
+		if bytes.IndexByte(pk.sig[lo:min(base+rng, len(pk.sig))], sig) >= 0 {
+			return false
 		}
 	}
-	// Direction 2: s's own words must not fall inside the probe range of
-	// a differently-based state with the same signature.
+	// Direction 2: the state's own words must not fall inside the probe
+	// range of a differently-based state with the same signature.
 	lo := base - pk.maxRangePlaced()
 	hi := base + rng
 	i := sort.Search(len(pk.byBase), func(i int) bool { return pk.byBase[i].base >= lo })
@@ -379,7 +415,7 @@ func (pk *packer) freeWordNear(s *core.State, from, limit int) (int, bool) {
 		hi = limit - 1
 	}
 	for addr := from + 1; addr <= hi; addr++ {
-		if pk.occupied[addr] {
+		if addr < len(pk.sig) && pk.sig[addr] != 0 {
 			continue
 		}
 		// The owner's own probes must not be able to reach a fork
@@ -400,8 +436,8 @@ func (pk *packer) freeWordNear(s *core.State, from, limit int) (int, bool) {
 			}
 		}
 		if ok {
-			pk.occupied[addr] = true
-			pk.wordOwner[addr] = s
+			pk.growTo(addr + 1)
+			pk.sig[addr] = sig
 			return addr, true
 		}
 	}

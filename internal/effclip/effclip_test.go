@@ -1,6 +1,7 @@
 package effclip
 
 import (
+	"runtime"
 	"testing"
 
 	"udp/internal/core"
@@ -273,5 +274,29 @@ func TestLayoutRejectsEpsilonActions(t *testing.T) {
 	p.MultiActive = true
 	if _, err := Layout(p, Options{}); err == nil {
 		t.Fatal("epsilon with actions must be rejected")
+	}
+}
+
+// TestWideStateRejectedEarly checks that a state whose probe window cannot
+// fit the lane window is rejected before layout allocates or scans anything
+// in proportion to that window: a 32-bit state would otherwise ask for a
+// 2^31-word image.
+func TestWideStateRejectedEarly(t *testing.T) {
+	for _, bits := range []uint8{24, 32} {
+		for _, opt := range []Options{{}, {WideAttach: true}, {Policy: PolicyUAPOffset}} {
+			p := core.NewProgram("wide", bits)
+			s := p.AddState("s", core.ModeStream)
+			s.On(1, s)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Layout(p, opt)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%d-bit state %+v: layout accepted a program wider than the lane window", bits, opt)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+				t.Fatalf("%d-bit state %+v: rejection allocated %d bytes, want < 1 MiB", bits, opt, d)
+			}
+		}
 	}
 }

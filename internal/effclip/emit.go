@@ -2,6 +2,7 @@ package effclip
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"udp/internal/core"
@@ -72,29 +73,35 @@ func (pk *packer) emit() (*Image, error) {
 		}
 	}
 
-	words := map[int]uint32{}
+	// trans collects every transition word, spilled fork entries included;
+	// each address is emitted once.
+	type transWord struct {
+		addr int
+		w    uint32
+	}
+	var trans []transWord
 	emitOne := func(s *core.State, t *core.Transition, addr int, next chainRef) error {
 		w, err := pk.encodeTransition(s, t, al, next, im, addr)
 		if err != nil {
 			return fmt.Errorf("effclip: state %q: %w", s.Name, err)
 		}
-		words[addr] = w
+		trans = append(trans, transWord{addr, w})
 		return nil
 	}
 
 	for _, s := range p.States {
 		pl := pk.place[s]
-		bySym := map[uint32][]*core.Transition{}
-		var order []uint32
-		for _, t := range s.Labeled {
-			if _, ok := bySym[t.Symbol]; !ok {
-				order = append(order, t.Symbol)
+		// Group same-symbol transitions in declaration order, by symbol.
+		bySym := slices.Clone(s.Labeled)
+		sort.SliceStable(bySym, func(i, j int) bool { return bySym[i].Symbol < bySym[j].Symbol })
+		for len(bySym) > 0 {
+			sym := bySym[0].Symbol
+			n := 1
+			for n < len(bySym) && bySym[n].Symbol == sym {
+				n++
 			}
-			bySym[t.Symbol] = append(bySym[t.Symbol], t)
-		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-		for _, sym := range order {
-			ts := bySym[sym]
+			ts := bySym[:n]
+			bySym = bySym[n:]
 			sortChain(ts)
 			slot := pl.base + int(sym)
 			if s.Mode == core.ModeCommon {
@@ -124,17 +131,14 @@ func (pk *packer) emit() (*Image, error) {
 		}
 	}
 
-	total := al.end()
-	im.Words = make([]uint32, total)
-	for addr, w := range al.words {
-		im.Words[addr] = w
+	im.Words = make([]uint32, al.end())
+	copy(im.Words[ab:], al.words)
+	for _, t := range trans { // fork spills overwrite their reservations
+		im.Words[t.addr] = t.w
 	}
-	for addr, w := range words { // fork spills overwrite their reservations
-		im.Words[addr] = w
-	}
-	im.TransWords = len(words)
+	im.TransWords = len(trans)
 	im.PadWords = pad
-	im.ActionWords = len(al.words)
+	im.ActionWords = al.count
 
 	if im.DataBase == 0 && im.DataBytes > 0 {
 		im.DataBase = (im.CodeBytes() + 63) &^ 63
@@ -286,8 +290,13 @@ func (pk *packer) encodeTransition(s *core.State, t *core.Transition, al *action
 // 8-aligned addresses ab+8..ab+248 are additionally reachable by the 5-bit
 // refill reference.
 type actionAlloc struct {
-	ab     int
-	words  map[int]uint32
+	ab int
+	// words and used cover the action region from ab up to its highest
+	// allocated word; used marks allocated words, fork reservations
+	// (still 0) included, and count is how many there are.
+	words  []uint32
+	used   []bool
+	count  int
 	chains map[string]int // chain key -> start address
 	// cursors
 	directNext int
@@ -297,7 +306,6 @@ type actionAlloc struct {
 func newActionAlloc(ab int) *actionAlloc {
 	return &actionAlloc{
 		ab:         ab,
-		words:      map[int]uint32{},
 		chains:     map[string]int{},
 		directNext: ab + 1,
 		scaledNext: ab + 8,
@@ -319,9 +327,23 @@ func (al *actionAlloc) encodeAt(addr int, chain []core.Action) error {
 		if err != nil {
 			return err
 		}
-		al.words[addr+i] = w
+		al.set(addr+i, w)
 	}
 	return nil
+}
+
+// set allocates the action word at addr and stores w in it.
+func (al *actionAlloc) set(addr int, w uint32) {
+	i := addr - al.ab
+	if n := i + 1; n > len(al.used) {
+		al.words = append(al.words, make([]uint32, n-len(al.words))...)
+		al.used = append(al.used, make([]bool, n-len(al.used))...)
+	}
+	if !al.used[i] {
+		al.used[i] = true
+		al.count++
+	}
+	al.words[i] = w
 }
 
 // placeRefill places (or finds) a chain at an 8-aligned refill-reachable
@@ -427,7 +449,7 @@ func (al *actionAlloc) allocBlock(n int) (int, error) {
 		return 0, fmt.Errorf("action region overflow (fork block at %d)", addr)
 	}
 	for i := 0; i < n; i++ {
-		al.words[addr+i] = 0 // reservation; overwritten by the fork words
+		al.set(addr+i, 0) // reservation; overwritten by the fork words
 	}
 	if addr+n > al.scaledNext {
 		al.scaledNext = addr + n
@@ -452,22 +474,18 @@ func (al *actionAlloc) alignScaled(addr int) int {
 }
 
 func (al *actionAlloc) rangeUsed(addr, n int) bool {
-	for i := 0; i < n; i++ {
-		if _, ok := al.words[addr+i]; ok {
+	for i := addr - al.ab; i < addr-al.ab+n && i < len(al.used); i++ {
+		if al.used[i] {
 			return true
 		}
 	}
 	return false
 }
 
+// end returns one past the highest allocated action word, and at least
+// ab+1. used ends exactly at the highest allocated word.
 func (al *actionAlloc) end() int {
-	e := al.ab + 1
-	for addr := range al.words {
-		if addr+1 > e {
-			e = addr + 1
-		}
-	}
-	return e
+	return al.ab + max(1, len(al.used))
 }
 
 // applyUAPAccounting recomputes the image size under the UAP's

@@ -361,6 +361,27 @@ func TestRejectedInputReturns422(t *testing.T) {
 	}
 }
 
+// TestWideProgramReturns400 posts a one-state program with 32-bit symbols,
+// whose probe window is wider than the lane window: registration must fail
+// with 400 at once, not try to lay out a 2^31-word image.
+func TestWideProgramReturns400(t *testing.T) {
+	_, c := newTestServer(t, server.Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := c.Register(ctx, "wide", "program w symbol 32\nstate s stream\n  on 1 -> s\n", "none")
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusBadRequest {
+		t.Fatalf("err = %v, want 400", err)
+	}
+	if !strings.Contains(ae.Message, "compile") {
+		t.Fatalf("rejected for %q, want a compile (layout) error", ae.Message)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("rejection took %v, want under 1s", d)
+	}
+}
+
 func TestBadGzipBodyReturns400(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
 	_, err := c.TransformBytes(context.Background(), "csvparse", []byte("not gzip"),
